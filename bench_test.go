@@ -144,6 +144,42 @@ func BenchmarkModulatedSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveLarge measures one analytic solve of a large chain: the
+// E-mail workload at utilization 0.35 with buffer X = 30 and an Erlang-2
+// service time (SCV 0.5), an R of order 244. Its level-down block has 62
+// nonzero columns of 244, so this is the solve the column-compacted cyclic
+// reduction targets; the paper-default point solves stay covered by
+// BenchmarkFigure05.
+func BenchmarkSolveLarge(b *testing.B) {
+	email, err := bgperf.EmailWorkload()
+	if err != nil {
+		b.Fatal(err)
+	}
+	arr, err := bgperf.AtUtilization(email, 0.35)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc, err := bgperf.PHFitTwoMoment(bgperf.MeanServiceTimeMs, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := bgperf.Config{
+		Arrival: arr, Service: svc, BGProb: 0.3, BGBuffer: 30,
+		IdleRate: bgperf.ServiceRatePerMs,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := bgperf.Solve(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sol.Metrics.QLenFG <= 0 {
+			b.Fatalf("degenerate solve: qlenFG %g", sol.Metrics.QLenFG)
+		}
+	}
+}
+
 // BenchmarkModulatedSim is the simulator counterpart of
 // BenchmarkModulatedSolve: the same modulated/deadline configuration through
 // the event loop, reporting events/sec like BenchmarkSimEvents so the

@@ -176,7 +176,7 @@ func NewModel(cfg Config, opts ...Option) (*Model, error) {
 }
 
 // Solve builds and solves the model in one call. With WithObserver it
-// reports stage timings, the logarithmic-reduction convergence trace, sp(R),
+// reports stage timings, the R-solve convergence trace, sp(R),
 // and workspace pool statistics; without, it runs the zero-overhead fast
 // path.
 func Solve(cfg Config, opts ...Option) (*Solution, error) {

@@ -100,13 +100,11 @@ func main() {
 		fatal(err)
 	}
 	if len(budgetPaths) == 0 {
-		// Lexical sort puts PR snapshots oldest-first (single-digit PR
-		// numbers), so newer files override as documented.
 		matches, err := filepath.Glob("BENCH_PR*.json")
 		if err != nil || len(matches) == 0 {
 			fatal(fmt.Errorf("benchguard: no -budget flags and no BENCH_PR*.json in the working directory"))
 		}
-		sort.Strings(matches)
+		sortSnapshots(matches)
 		budgetPaths = matches
 	}
 
@@ -158,6 +156,28 @@ func main() {
 		fatal(fmt.Errorf("benchguard: %d benchmark(s) regressed beyond %.0f%% of budget", failed, (*slack-1)*100))
 	}
 	fmt.Println("benchguard: all guarded benchmarks within budget")
+}
+
+// sortSnapshots orders BENCH_PR<n>.json paths oldest-first by PR number,
+// so newer files override as documented. A lexical sort would put
+// BENCH_PR10.json before BENCH_PR2.json and let the older budgets win.
+// Names without a number sort first, lexically.
+func sortSnapshots(paths []string) {
+	num := func(p string) int {
+		s := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_PR"), ".json")
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return -1
+		}
+		return n
+	}
+	sort.SliceStable(paths, func(i, j int) bool {
+		ni, nj := num(paths[i]), num(paths[j])
+		if ni != nj {
+			return ni < nj
+		}
+		return paths[i] < paths[j]
+	})
 }
 
 func fatal(err error) {

@@ -19,7 +19,7 @@
 // email-lowacf, email-ipp, poisson.
 //
 // Model parameters resolve through the same request struct the bgperfd
-// daemon uses (internal/serve.SolveRequest), so a CLI invocation and the
+// daemon uses (internal/request.SolveRequest), so a CLI invocation and the
 // equivalent HTTP request always describe — and cache-key to — the same
 // model, and `bgperf plan -json` is byte-identical to the daemon's
 // /v1/optimize "plan" object.
@@ -32,14 +32,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"bgperf"
 	"bgperf/internal/arrival"
 	"bgperf/internal/check"
 	"bgperf/internal/core"
 	"bgperf/internal/obs"
-	"bgperf/internal/serve"
+	"bgperf/internal/request"
 	"bgperf/internal/trace"
 	"bgperf/internal/workload"
 )
@@ -76,26 +75,6 @@ func run(args []string, out io.Writer) error {
 		return cmdCheck(args[1:], out)
 	default:
 		return fmt.Errorf("unknown subcommand %q (want solve | plan | sim | trace | fit | acf | multi | transient | check)", args[0])
-	}
-}
-
-// workloadByName resolves a catalog workload.
-func workloadByName(name string) (*arrival.MAP, error) {
-	switch strings.ToLower(name) {
-	case "email":
-		return workload.Email()
-	case "softdev", "software-development":
-		return workload.SoftwareDevelopment()
-	case "useraccounts", "user-accounts":
-		return workload.UserAccounts()
-	case "email-lowacf":
-		return workload.EmailLowACF()
-	case "email-ipp":
-		return workload.EmailIPP()
-	case "poisson":
-		return workload.EmailPoisson()
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want email | softdev | useraccounts | email-lowacf | email-ipp | poisson)", name)
 	}
 }
 
@@ -136,11 +115,11 @@ func addModelFlags(fs *flag.FlagSet) modelFlags {
 // CLI guards -idlemult itself because its flag defaults to 1: an explicit 0
 // is a user error here, whereas the zero value in a JSON body means "use
 // the default".
-func (f modelFlags) request() (serve.SolveRequest, error) {
+func (f modelFlags) request() (request.SolveRequest, error) {
 	if *f.idleMult <= 0 {
-		return serve.SolveRequest{}, fmt.Errorf("idlemult must be positive")
+		return request.SolveRequest{}, fmt.Errorf("idlemult must be positive")
 	}
-	return serve.SolveRequest{
+	return request.SolveRequest{
 		Workload:     *f.workload,
 		Utilization:  *f.util,
 		BGProb:       *f.p,
@@ -157,7 +136,7 @@ func (f modelFlags) request() (serve.SolveRequest, error) {
 }
 
 // build resolves the flags into a validated model configuration through the
-// same serve.SolveRequest defaulting the bgperfd daemon applies, so a CLI
+// same request.SolveRequest defaulting the bgperfd daemon applies, so a CLI
 // invocation and the equivalent HTTP request describe the same model.
 func (f modelFlags) build() (core.Config, error) {
 	req, err := f.request()
@@ -509,7 +488,7 @@ func cmdTrace(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := workloadByName(*name)
+	m, err := request.WorkloadByName(*name)
 	if err != nil {
 		return err
 	}
@@ -576,7 +555,7 @@ func cmdACF(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := workloadByName(*name)
+	m, err := request.WorkloadByName(*name)
 	if err != nil {
 		return err
 	}
@@ -610,7 +589,7 @@ func cmdMulti(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := workloadByName(*name)
+	m, err := request.WorkloadByName(*name)
 	if err != nil {
 		return err
 	}

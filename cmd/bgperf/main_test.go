@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bgperf/internal/request"
 	"bgperf/internal/trace"
 )
 
@@ -116,7 +117,7 @@ func TestPlanInfeasible(t *testing.T) {
 func TestPlanTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.ndjson")
-	m, err := workloadByName("email")
+	m, err := request.WorkloadByName("email")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestACFErrors(t *testing.T) {
 
 func TestWorkloadByNameAll(t *testing.T) {
 	for _, name := range []string{"email", "softdev", "useraccounts", "email-lowacf", "email-ipp", "poisson", "Email", "SOFTDEV"} {
-		if _, err := workloadByName(name); err != nil {
+		if _, err := request.WorkloadByName(name); err != nil {
 			t.Errorf("workload %q: %v", name, err)
 		}
 	}

@@ -12,13 +12,14 @@ import (
 
 // TestExportedIdentifiersDocumented enforces the documentation contract on
 // the public surface: every exported identifier in the root package, in
-// internal/serve (the daemon's serving layer), in internal/plan (the
+// internal/serve (the daemon's serving layer), in internal/request (the
+// request vocabulary the daemon and the CLI share), in internal/plan (the
 // inverse solver behind Plan and /v1/optimize), in internal/cas (the
 // persistent cache tier), and in internal/cluster (the peer ring) carries
 // a doc comment. The API reference in docs/ and `go doc` both depend on
 // this.
 func TestExportedIdentifiersDocumented(t *testing.T) {
-	for _, dir := range []string{".", "internal/serve", "internal/plan", "internal/cas", "internal/cluster"} {
+	for _, dir := range []string{".", "internal/serve", "internal/request", "internal/plan", "internal/cas", "internal/cluster"} {
 		undocumented := missingDocs(t, dir)
 		for _, id := range undocumented {
 			t.Errorf("%s: exported identifier %s has no doc comment", dir, id)

@@ -23,8 +23,8 @@ var (
 	// ErrUnstable reports a model whose offered load saturates the server:
 	// the chain has no stationary distribution and no metrics exist.
 	ErrUnstable = qbd.ErrUnstable
-	// ErrNoConvergence reports an iterative solver (logarithmic reduction,
-	// spectral iteration) that exhausted its iteration budget.
+	// ErrNoConvergence reports an iterative solver (cyclic or logarithmic
+	// reduction, spectral iteration) that exhausted its iteration budget.
 	ErrNoConvergence = qbd.ErrNoConvergence
 	// ErrInfeasible reports a capacity-planning SLO (Plan, PlanFromTrace)
 	// that no value of the decision variable can meet — the constraint fails

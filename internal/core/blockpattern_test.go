@@ -22,7 +22,7 @@ func TestBuilderBlockMulBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boundary, proc, err := m.qbdBlocks()
+	boundary, proc, err := m.QBDBlocks()
 	if err != nil {
 		t.Fatal(err)
 	}

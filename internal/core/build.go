@@ -289,11 +289,11 @@ func fixDiagonal(local *mat.Matrix, others ...*mat.Matrix) {
 	}
 }
 
-// qbdBlocks builds the boundary (levels 0..boundaryTop) and repeating
+// QBDBlocks builds the boundary (levels 0..boundaryTop) and repeating
 // (levels > boundaryTop) blocks of the chain. boundaryTop is X except under
 // the util-threshold admission policy, whose level-dependent admission
 // pushes the homogeneous region up to X + K + 1.
-func (m *Model) qbdBlocks() (qbd.Boundary, *qbd.Process, error) {
+func (m *Model) QBDBlocks() (qbd.Boundary, *qbd.Process, error) {
 	top := m.boundaryTop
 	boundary := qbd.Boundary{
 		Local: make([]*mat.Matrix, top+1),

@@ -95,7 +95,7 @@ func (m *Model) SolveObserved(o obs.Observer) (*Solution, error) {
 	if o != nil {
 		t0 = time.Now()
 	}
-	boundary, proc, err := m.qbdBlocks()
+	boundary, proc, err := m.QBDBlocks()
 	if err != nil {
 		return nil, err
 	}

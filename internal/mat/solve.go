@@ -502,12 +502,84 @@ func (f *LU) SolveMatInto(dst, b *Matrix) *Matrix {
 	for i, p := range f.piv {
 		copy(dst.a[i*dst.cols:(i+1)*dst.cols], b.a[p*b.cols:(p+1)*b.cols])
 	}
-	for j0 := 0; j0 < dst.cols; j0 += solveTileWidth {
-		j1 := j0 + solveTileWidth
-		if j1 > dst.cols {
-			j1 = dst.cols
+	f.substituteTiles(dst)
+	return dst
+}
+
+// SolveColsInto solves A·X = B[:, cols] into dst and returns dst: the solve
+// of the column subset cols of b, gathered while staging the row
+// permutation, so no separate gather pass or buffer is needed. dst must be
+// n×len(cols) and must not alias b. Substitution is column-independent, so
+// each column of dst is bit-identical to the matching column of
+// SolveMatInto(·, b) — the compacted cyclic-reduction step relies on this to
+// skip b's zero columns without changing results.
+func (f *LU) SolveColsInto(dst, b *Matrix, cols []int) *Matrix {
+	n := f.lu.rows
+	if b.rows != n || dst.rows != n || dst.cols != len(cols) {
+		panic(ErrShape)
+	}
+	for i, p := range f.piv {
+		src := b.a[p*b.cols : (p+1)*b.cols]
+		drow := dst.a[i*dst.cols : (i+1)*dst.cols]
+		for c, j := range cols {
+			drow[c] = src[j]
 		}
-		f.substituteTile(dst, j0, j1)
+	}
+	f.substituteTiles(dst)
+	return dst
+}
+
+// substituteTiles runs the tiled substitution over every column tile of the
+// permuted right-hand side x, in place.
+func (f *LU) substituteTiles(x *Matrix) {
+	for j0 := 0; j0 < x.cols; j0 += solveTileWidth {
+		j1 := j0 + solveTileWidth
+		if j1 > x.cols {
+			j1 = x.cols
+		}
+		f.substituteTile(x, j0, j1)
+	}
+}
+
+// SolveLeftVecInto solves the row-vector system x·A = b into dst and returns
+// dst, reusing the factorization of A — no transpose or second
+// factorization is needed. With P·A = L·U, it solves z·U = b, then y·L = z,
+// and unpermutes x[piv[i]] = y[i]; both sweeps run along contiguous rows of
+// the packed factor. dst may alias b.
+func (f *LU) SolveLeftVecInto(dst, b []float64) []float64 {
+	n := f.lu.rows
+	if len(b) != n || len(dst) != n {
+		panic(ErrShape)
+	}
+	w := f.ensureScratch()
+	copy(w, b)
+	// z·U = b, row-oriented: z[i] is final once every earlier row has
+	// subtracted its contribution, which it then pushes into the later
+	// entries along row i of U.
+	for i := 0; i < n; i++ {
+		row := f.lu.a[i*n : (i+1)*n]
+		zi := w[i] / row[i]
+		w[i] = zi
+		if zi == 0 {
+			continue
+		}
+		for j := i + 1; j < n; j++ {
+			w[j] -= zi * row[j]
+		}
+	}
+	// y·L = z with unit lower-triangular L, last row first.
+	for i := n - 1; i > 0; i-- {
+		yi := w[i]
+		if yi == 0 {
+			continue
+		}
+		row := f.lu.a[i*n : i*n+i]
+		for j, v := range row {
+			w[j] -= yi * v
+		}
+	}
+	for i, p := range f.piv {
+		dst[p] = w[i]
 	}
 	return dst
 }

@@ -2,26 +2,24 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 )
 
-// Package-level counters exported via expvar (reachable through
-// expvar.Handler or net/http/pprof-style debug endpoints in a long-running
-// service). Every Diagnostics instance mirrors its events into these, so the
-// process-wide totals survive individual collectors.
+// Process-wide solver counters (see ProcessCounter). Every Diagnostics
+// instance mirrors its events into these, so the totals survive individual
+// collectors.
 var (
-	expSolves       = expvar.NewInt("bgperf.solves")
-	expRIterations  = expvar.NewInt("bgperf.r_iterations")
-	expSimRuns      = expvar.NewInt("bgperf.sim_runs")
-	expSimEvents    = expvar.NewInt("bgperf.sim_events")
-	expReplications = expvar.NewInt("bgperf.replications")
-	expWsHits       = expvar.NewInt("bgperf.workspace_hits")
-	expWsMisses     = expvar.NewInt("bgperf.workspace_misses")
-	expFits         = expvar.NewInt("bgperf.map_fits")
+	totalSolves       = newProcessCounter("bgperf.solves")
+	totalRIterations  = newProcessCounter("bgperf.r_iterations")
+	totalSimRuns      = newProcessCounter("bgperf.sim_runs")
+	totalSimEvents    = newProcessCounter("bgperf.sim_events")
+	totalReplications = newProcessCounter("bgperf.replications")
+	totalWsHits       = newProcessCounter("bgperf.workspace_hits")
+	totalWsMisses     = newProcessCounter("bgperf.workspace_misses")
+	totalFits         = newProcessCounter("bgperf.map_fits")
 )
 
 // Diagnostics is the standard Observer: a mutex-guarded collector that
@@ -73,7 +71,7 @@ func (d *Diagnostics) StageDone(s Stage, dur time.Duration) {
 	d.stageTime[s] += dur
 	d.stageCount[s]++
 	if s == StageMetrics {
-		expSolves.Add(1)
+		totalSolves.add(1)
 	}
 	d.mu.Unlock()
 }
@@ -92,7 +90,7 @@ func (d *Diagnostics) RIteration(iter int, residual float64) {
 	}
 	d.trace = append(d.trace, residual)
 	d.mu.Unlock()
-	expRIterations.Add(1)
+	totalRIterations.add(1)
 }
 
 // RSolved implements Observer.
@@ -116,8 +114,8 @@ func (d *Diagnostics) WorkspaceStats(ws WorkspaceStats) {
 	d.mu.Lock()
 	d.ws.add(ws)
 	d.mu.Unlock()
-	expWsHits.Add(ws.Hits())
-	expWsMisses.Add(ws.Misses())
+	totalWsHits.add(ws.Hits())
+	totalWsMisses.add(ws.Misses())
 }
 
 // SimRun implements Observer.
@@ -129,8 +127,8 @@ func (d *Diagnostics) SimRun(c SimCounters) {
 	d.simRuns++
 	d.sim.add(c)
 	d.mu.Unlock()
-	expSimRuns.Add(1)
-	expSimEvents.Add(c.total())
+	totalSimRuns.add(1)
+	totalSimEvents.add(c.total())
 }
 
 // ReplicationDone implements Observer.
@@ -142,7 +140,7 @@ func (d *Diagnostics) ReplicationDone(done, total int) {
 	d.repsDone = int64(done)
 	d.repsTotal = int64(total)
 	d.mu.Unlock()
-	expReplications.Add(1)
+	totalReplications.add(1)
 }
 
 // FitDone implements Observer.
@@ -153,7 +151,7 @@ func (d *Diagnostics) FitDone(f FitDiag) {
 	d.mu.Lock()
 	d.fits = append(d.fits, f)
 	d.mu.Unlock()
-	expFits.Add(1)
+	totalFits.add(1)
 }
 
 // StageReport is the aggregated timing of one solver stage.
@@ -174,7 +172,7 @@ type Report struct {
 	Stages map[string]StageReport `json:"stages"`
 
 	// RSolves and RIterations count R computations and their summed
-	// logarithmic-reduction iterations.
+	// reduction iterations (cyclic by default, logarithmic when selected).
 	RSolves     int64 `json:"rSolves"`
 	RIterations int64 `json:"rIterations"`
 	// LastRIterations, LastResidual, and LastSpectralRadius describe the

@@ -9,8 +9,8 @@
 // allocations — pinned by AllocsPerRun regression tests. When an Observer is
 // attached, producers report stage durations, per-iteration convergence
 // residuals, event counters, and pool statistics; the concrete Diagnostics
-// collector aggregates them, mirrors totals into package-level expvar
-// counters, and renders a machine-readable JSON report (FlushJSON) or a
+// collector aggregates them, mirrors totals into process-wide counters
+// (ProcessCounters; bgperfd publishes them as expvars), and renders a machine-readable JSON report (FlushJSON) or a
 // human-readable convergence summary (WriteSummary).
 //
 // obs sits below every other internal package (it imports only the standard
@@ -27,8 +27,9 @@ const (
 	// StageBuild is chain assembly: Kronecker blocks and QBD boundary/
 	// repeating block construction.
 	StageBuild Stage = iota
-	// StageRSolve is the logarithmic-reduction computation of G and the
-	// rate matrix R — the innermost iterative solver.
+	// StageRSolve is the computation of G — by cyclic reduction, or
+	// logarithmic reduction when selected — and from it the rate matrix R:
+	// the innermost iterative solver.
 	StageRSolve
 	// StageBoundary is the boundary linear system: the backward/forward
 	// level-reduction sweeps and the geometric tail moments.
@@ -102,7 +103,7 @@ type SimCounters struct {
 	Events int64 `json:"events"`
 }
 
-// total returns the "events" figure mirrored to expvar: the simulator's own
+// total returns the "events" figure mirrored to the process-wide counter: the simulator's own
 // event count when reported (PR 7+), otherwise the legacy sum of the
 // per-kind counters.
 func (c SimCounters) total() int64 {

@@ -1,30 +1,29 @@
 package obs
 
 import (
-	"expvar"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Serve-layer counters exported via expvar, alongside the solver counters
-// above. The bgperfd daemon mounts expvar.Handler at /debug/vars, so these
-// process-wide totals are scrapeable even without the /metrics snapshot.
+// Process-wide serve-layer counters, alongside the solver counters in
+// diagnostics.go. The bgperfd daemon publishes them at /debug/vars, so these
+// totals are scrapeable even without the /metrics snapshot.
 var (
-	expServeRequests    = expvar.NewInt("bgperf.serve.requests")
-	expServeCacheHits   = expvar.NewInt("bgperf.serve.cache_hits")
-	expServeCacheMisses = expvar.NewInt("bgperf.serve.cache_misses")
-	expServeCoalesced   = expvar.NewInt("bgperf.serve.coalesced")
-	expServeSolves      = expvar.NewInt("bgperf.serve.solves")
-	expServePlans       = expvar.NewInt("bgperf.serve.plans")
-	expServeInFlight    = expvar.NewInt("bgperf.serve.in_flight")
-	expServeRejected    = expvar.NewInt("bgperf.serve.rejected")
-	expServeDiskHits    = expvar.NewInt("bgperf.serve.disk_hits")
-	expServeForwarded   = expvar.NewInt("bgperf.serve.forwarded")
-	expServeForwardFail = expvar.NewInt("bgperf.serve.forward_failures")
-	expServeShed        = expvar.NewInt("bgperf.serve.shed")
-	expServeQueueDepth  = expvar.NewInt("bgperf.serve.queue_depth")
-	expServeStreams     = expvar.NewInt("bgperf.serve.streams")
+	totalServeRequests    = newProcessCounter("bgperf.serve.requests")
+	totalServeCacheHits   = newProcessCounter("bgperf.serve.cache_hits")
+	totalServeCacheMisses = newProcessCounter("bgperf.serve.cache_misses")
+	totalServeCoalesced   = newProcessCounter("bgperf.serve.coalesced")
+	totalServeSolves      = newProcessCounter("bgperf.serve.solves")
+	totalServePlans       = newProcessCounter("bgperf.serve.plans")
+	totalServeInFlight    = newProcessCounter("bgperf.serve.in_flight")
+	totalServeRejected    = newProcessCounter("bgperf.serve.rejected")
+	totalServeDiskHits    = newProcessCounter("bgperf.serve.disk_hits")
+	totalServeForwarded   = newProcessCounter("bgperf.serve.forwarded")
+	totalServeForwardFail = newProcessCounter("bgperf.serve.forward_failures")
+	totalServeShed        = newProcessCounter("bgperf.serve.shed")
+	totalServeQueueDepth  = newProcessCounter("bgperf.serve.queue_depth")
+	totalServeStreams     = newProcessCounter("bgperf.serve.streams")
 )
 
 // serveLatencyWindow bounds the latency reservoir: quantiles are computed
@@ -88,7 +87,7 @@ type ServeStats struct {
 // ServeCollector aggregates serving-layer events — cache effectiveness,
 // request coalescing, in-flight pressure, and solve-latency quantiles — for
 // the bgperfd daemon. Like Diagnostics, it is concurrency-safe, mirrors its
-// totals into package-level expvar counters, and every method is a nil-safe
+// totals into process-wide counters, and every method is a nil-safe
 // no-op so an unobserved serving stack costs nothing.
 type ServeCollector struct {
 	mu sync.Mutex
@@ -122,7 +121,7 @@ func (s *ServeCollector) Request() {
 	s.mu.Lock()
 	s.requests++
 	s.mu.Unlock()
-	expServeRequests.Add(1)
+	totalServeRequests.add(1)
 }
 
 // CacheHit records a request answered from the solve cache.
@@ -133,7 +132,7 @@ func (s *ServeCollector) CacheHit() {
 	s.mu.Lock()
 	s.cacheHits++
 	s.mu.Unlock()
-	expServeCacheHits.Add(1)
+	totalServeCacheHits.add(1)
 }
 
 // CacheMiss records a request that found no cached solution.
@@ -144,7 +143,7 @@ func (s *ServeCollector) CacheMiss() {
 	s.mu.Lock()
 	s.cacheMiss++
 	s.mu.Unlock()
-	expServeCacheMisses.Add(1)
+	totalServeCacheMisses.add(1)
 }
 
 // Coalesced records a request that joined an identical in-flight solve.
@@ -155,7 +154,7 @@ func (s *ServeCollector) Coalesced() {
 	s.mu.Lock()
 	s.coalesced++
 	s.mu.Unlock()
-	expServeCoalesced.Add(1)
+	totalServeCoalesced.add(1)
 }
 
 // Rejected records a request refused while the daemon drains.
@@ -166,7 +165,7 @@ func (s *ServeCollector) Rejected() {
 	s.mu.Lock()
 	s.rejected++
 	s.mu.Unlock()
-	expServeRejected.Add(1)
+	totalServeRejected.add(1)
 }
 
 // DiskHit records a request answered from the persistent disk cache tier.
@@ -177,7 +176,7 @@ func (s *ServeCollector) DiskHit() {
 	s.mu.Lock()
 	s.diskHits++
 	s.mu.Unlock()
-	expServeDiskHits.Add(1)
+	totalServeDiskHits.add(1)
 }
 
 // Forwarded records a point routed to and answered by its owning peer.
@@ -188,7 +187,7 @@ func (s *ServeCollector) Forwarded() {
 	s.mu.Lock()
 	s.forwarded++
 	s.mu.Unlock()
-	expServeForwarded.Add(1)
+	totalServeForwarded.add(1)
 }
 
 // ForwardFailure records a forward that failed and fell back to a local
@@ -200,7 +199,7 @@ func (s *ServeCollector) ForwardFailure() {
 	s.mu.Lock()
 	s.forwardFail++
 	s.mu.Unlock()
-	expServeForwardFail.Add(1)
+	totalServeForwardFail.add(1)
 }
 
 // Shed records a request refused by the admission gate.
@@ -211,7 +210,7 @@ func (s *ServeCollector) Shed() {
 	s.mu.Lock()
 	s.shed++
 	s.mu.Unlock()
-	expServeShed.Add(1)
+	totalServeShed.add(1)
 }
 
 // QueueDepth adjusts the admission-gate queue gauge by delta (+1 on
@@ -223,7 +222,7 @@ func (s *ServeCollector) QueueDepth(delta int64) {
 	s.mu.Lock()
 	s.queued += delta
 	s.mu.Unlock()
-	expServeQueueDepth.Add(delta)
+	totalServeQueueDepth.add(delta)
 }
 
 // Stream records an NDJSON streaming sweep starting.
@@ -234,7 +233,7 @@ func (s *ServeCollector) Stream() {
 	s.mu.Lock()
 	s.streams++
 	s.mu.Unlock()
-	expServeStreams.Add(1)
+	totalServeStreams.add(1)
 }
 
 // SolveStart records a solver invocation beginning; pair it with SolveDone.
@@ -245,7 +244,7 @@ func (s *ServeCollector) SolveStart() {
 	s.mu.Lock()
 	s.inFlight++
 	s.mu.Unlock()
-	expServeInFlight.Add(1)
+	totalServeInFlight.add(1)
 }
 
 // SolveDone records a solver invocation completing after duration d.
@@ -259,8 +258,8 @@ func (s *ServeCollector) SolveDone(d time.Duration) {
 	s.latMs[s.recorded%serveLatencyWindow] = float64(d) / float64(time.Millisecond)
 	s.recorded++
 	s.mu.Unlock()
-	expServeInFlight.Add(-1)
-	expServeSolves.Add(1)
+	totalServeInFlight.add(-1)
+	totalServeSolves.add(1)
 }
 
 // PlanStart records an inverse-solver search beginning; pair with PlanDone.
@@ -271,7 +270,7 @@ func (s *ServeCollector) PlanStart() {
 	s.mu.Lock()
 	s.inFlight++
 	s.mu.Unlock()
-	expServeInFlight.Add(1)
+	totalServeInFlight.add(1)
 }
 
 // PlanDone records an inverse-solver search completing. Plan durations are
@@ -285,8 +284,8 @@ func (s *ServeCollector) PlanDone() {
 	s.inFlight--
 	s.plans++
 	s.mu.Unlock()
-	expServeInFlight.Add(-1)
-	expServePlans.Add(1)
+	totalServeInFlight.add(-1)
+	totalServePlans.add(1)
 }
 
 // Snapshot returns a consistent copy of the serve-layer statistics,

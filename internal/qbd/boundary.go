@@ -85,8 +85,7 @@ type Solution struct {
 	// R is the rate matrix: π_{B+1+k} = RepPi · R^k.
 	R *mat.Matrix
 
-	firstRep int         // index of the first repeating level (B+1)
-	sumR     *mat.Matrix // (I−R)⁻¹, cached
+	firstRep int // index of the first repeating level (B+1)
 
 	// Geometric-tail moment vectors, computed once at Solve time: every
 	// metric assembled from the tail (core.maskedMass probes them per
@@ -102,10 +101,11 @@ type Solution struct {
 // tridiagonal balance equations, O(Σ n_j³) instead of a dense O((Σ n_j)³)
 // global solve. It returns ErrUnstable for non-positive-recurrent processes.
 //
-// All scratch matrices — the logarithmic-reduction working set, the per-level
-// fold of the backward sweep, and the tail-moment algebra — come from one
-// mat.Workspace owned by the call, so buffers freed by one stage are reused
-// by the next instead of allocated fresh.
+// All scratch matrices — the reduction's working set, the per-level fold of
+// the backward sweep, and the factorization of I−R behind the normalising
+// mass and the tail moments — come from one mat.Workspace owned by the
+// call, so buffers freed by one stage are reused by the next instead of
+// allocated fresh.
 func Solve(b Boundary, p *Process) (*Solution, error) {
 	return SolveObserved(b, p, nil)
 }
@@ -113,8 +113,8 @@ func Solve(b Boundary, p *Process) (*Solution, error) {
 // SolveObserved is Solve with an optional obs.Observer (nil is valid and
 // reverts to the uninstrumented fast path — no clocks are read and no
 // reports are made). With an observer attached it reports the R-solve and
-// boundary-solve stage durations, the logarithmic-reduction convergence
-// trace, sp(R), and the workspace pool statistics of the whole solve.
+// boundary-solve stage durations, the R-solve convergence trace, sp(R),
+// and the workspace pool statistics of the whole solve.
 func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 	if err := b.validate(p); err != nil {
 		return nil, err
@@ -142,20 +142,21 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One LU of (I−R) serves the normalising mass and the three tail
+	// moments: each is a left-solve with a vector, so (I−R)⁻¹ is never formed.
 	m := p.Order()
-	sumR := mat.New(m, m) // cached on the Solution; never pooled
+	tailLU := ws.LU(m)
+	defer ws.ReleaseLU(tailLU)
 	{
 		idMinusR := ws.MatrixUninit(m, m).ScaleInto(r, -1)
 		for i := 0; i < m; i++ {
 			idMinusR.Add(i, i, 1)
 		}
-		lu := ws.LU(m)
-		if err := mat.FactorizeInto(lu, idMinusR); err != nil {
+		err := mat.FactorizeInto(tailLU, idMinusR)
+		ws.Release(idMinusR)
+		if err != nil {
 			return nil, fmt.Errorf("qbd: (I−R) singular: %w", err)
 		}
-		lu.InverseInto(sumR)
-		ws.Release(idMinusR)
-		ws.ReleaseLU(lu)
 	}
 
 	nb := b.levels()
@@ -224,7 +225,7 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 
 	// Forward sweep and global normalization. π_{j+1} = π_j·T_{j+1} is a
 	// row-vector product, so no transposition is needed.
-	sol := &Solution{R: r, firstRep: nb, sumR: sumR}
+	sol := &Solution{R: r, firstRep: nb}
 	sol.BoundaryPi = make([][]float64, nb)
 	cur := pi0
 	total := 0.0
@@ -236,7 +237,9 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 	}
 	ws.Release(prop[1:]...)
 	sol.RepPi = cur
-	total += mat.Dot(cur, sumR.RowSums())
+	tail := ws.Vector(m)
+	total += mat.Sum(tailLU.SolveLeftVecInto(tail, cur))
+	ws.ReleaseVector(tail)
 	if total <= 0 {
 		return nil, fmt.Errorf("qbd: nonpositive boundary mass %g", total)
 	}
@@ -244,7 +247,7 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 		sol.BoundaryPi[j] = clampProbs(mat.ScaleVec(sol.BoundaryPi[j], 1/total))
 	}
 	sol.RepPi = clampProbs(mat.ScaleVec(sol.RepPi, 1/total))
-	sol.cacheTailMoments(ws)
+	sol.cacheTailMoments(tailLU, ws)
 	return sol, nil
 }
 
@@ -264,34 +267,26 @@ func sparseDown(down *mat.Matrix) *mat.Sparse {
 }
 
 // cacheTailMoments precomputes the three geometric-tail moment vectors from
-// R, (I−R)⁻¹, and RepPi, using ws for every matrix intermediate.
-func (s *Solution) cacheTailMoments(ws *mat.Workspace) {
+// R, RepPi, and lu, the factorization of I−R. Every factor is a function of
+// R, so they commute, and each moment is a chain of vector left-solves and
+// vector·R products — O(m²) work on top of the one factorization:
+//
+//	x_k     = RepPi·(I−R)⁻ᵏ   (k = 1, 2, 3)
+//	tailSum = Σ_k RepPi·R^k    = x₁
+//	tailW   = Σ_k k·RepPi·R^k  = RepPi·R·(I−R)⁻²      = x₂·R
+//	tailW2  = Σ_k k²·RepPi·R^k = RepPi·R(I+R)·(I−R)⁻³ = x₃·R + x₃·R²
+func (s *Solution) cacheTailMoments(lu *mat.LU, ws *mat.Workspace) {
 	m := s.R.Rows()
-	// Σ_k RepPi·R^k = RepPi·(I−R)⁻¹.
-	s.tailSum = s.sumR.VecMulInto(make([]float64, m), s.RepPi)
-
-	// Σ_k k·RepPi·R^k = RepPi·(I−R)⁻²·R.
-	sumR2 := ws.MatrixUninit(m, m)
-	sumR2.MulInto(s.sumR, s.sumR)
-	v := ws.Vector(m)
-	sumR2.VecMulInto(v, s.RepPi)
-	s.tailW = s.R.VecMulInto(make([]float64, m), v)
-
-	// Σ_k k²·RepPi·R^k = RepPi·R·(I+R)·(I−R)⁻³.
-	cube := ws.MatrixUninit(m, m)
-	cube.MulInto(sumR2, s.sumR)
-	ipr := s.R.CloneInto(ws.MatrixUninit(m, m))
-	for i := 0; i < m; i++ {
-		ipr.Add(i, i, 1)
+	s.tailSum = lu.SolveLeftVecInto(make([]float64, m), s.RepPi)
+	x := lu.SolveLeftVecInto(ws.Vector(m), s.tailSum)
+	s.tailW = s.R.VecMulInto(make([]float64, m), x)
+	lu.SolveLeftVecInto(x, x)
+	xR := s.R.VecMulInto(ws.Vector(m), x)
+	s.tailW2 = s.R.VecMulInto(make([]float64, m), xR)
+	for i, v := range xR {
+		s.tailW2[i] += v
 	}
-	rIpr := ws.MatrixUninit(m, m)
-	rIpr.MulInto(s.R, ipr)
-	factor := ws.MatrixUninit(m, m)
-	factor.MulInto(rIpr, cube)
-	s.tailW2 = factor.VecMulInto(make([]float64, m), s.RepPi)
-
-	ws.Release(sumR2, cube, ipr, rIpr, factor)
-	ws.ReleaseVector(v)
+	ws.ReleaseVector(x, xR)
 }
 
 // leftNullVector returns the (nonnegative, sum-1) left null vector of the

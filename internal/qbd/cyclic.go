@@ -103,7 +103,7 @@ const crTol = 1e-14
 
 // crState is the preallocated working set of one cyclic-reduction run: the
 // three block iterates, the censored-level accumulator, the two solve
-// targets, a factorization scratch, a ping-pong buffer, and a reusable LU.
+// targets, a factorization scratch, a product buffer, and a reusable LU.
 // After newCRState, step performs zero heap allocations (pinned by
 // TestCyclicReductionStepZeroAlloc).
 type crState struct {
@@ -115,11 +115,20 @@ type crState struct {
 	local   *mat.Matrix // A₀ iterate (within-level block)
 	up      *mat.Matrix // A₁ iterate (level-up block)
 	hat     *mat.Matrix // Â₀, the censored first-level accumulator
-	t1, t2  *mat.Matrix // S·down, S·up with S = (I − local)⁻¹
+	t1, t2  *mat.Matrix // storage for S·down, S·up with S = (I − local)⁻¹
 	work    *mat.Matrix // I − local / I − hat factorization target
-	scratch *mat.Matrix // product target / ping-pong partner
+	scratch *mat.Matrix // storage for the products
 	lu      *mat.LU
 	rowSums []float64
+
+	// Column compaction. down and up keep structurally zero columns (the
+	// level-down block reaches only the phases a departure can land in, a
+	// quarter to a half of them), and a product or solve with a zero right-hand
+	// column yields a zero column. step therefore works on the nonzero
+	// column sets of down and up (index storage in cols) through narrow
+	// views over t1, t2, and scratch.
+	cols           []int
+	t1c, t2c, prod mat.Matrix
 
 	// residual is min(‖up‖∞, ‖down‖∞) after the latest step — the quantity
 	// the convergence trace reports. Which block vanishes identifies the
@@ -147,6 +156,7 @@ func newCRState(m int, ws *mat.Workspace, workers int) *crState {
 		scratch: ws.MatrixUninit(m, m),
 		lu:      ws.LU(m),
 		rowSums: ws.Vector(m),
+		cols:    make([]int, 2*m),
 	}
 }
 
@@ -174,30 +184,50 @@ func (s *crState) start(b0, b1, b2 *mat.Matrix) {
 //	down'  = down·S·down
 //	up'    = up·S·up
 //
+// Every term's columns are those of its right factor, so the solves and
+// products run only on the nonzero columns of down (r_d of them) and up
+// (r_u), at O(m²·r) instead of O(m³), and the results are written back into
+// those columns. down' and up' are zero outside them, as down and up already
+// are, so the write-back needs no clearing.
+// Substitution is column-independent and both multiply kernels accumulate
+// each element in ascending k, so the compacted step is bit-identical to the
+// full-width one (pinned against it by TestCompactStepBitIdentical).
+//
 // done reports convergence: the drift-determined iterate has vanished and
 // the censored accumulator is final.
 func (s *crState) step() (done bool, err error) {
+	m := s.id.Rows()
 	s.work.SubInto(s.id, s.local)
 	if err := mat.FactorizeInto(s.lu, s.work); err != nil {
 		return false, err
 	}
-	s.lu.SolveMatInto(s.t1, s.down)
-	s.lu.SolveMatInto(s.t2, s.up)
-	mat.MulIntoWorkers(s.scratch, s.up, s.t1, s.workers) // up·S·down
-	s.local.AddInPlace(s.scratch)
-	s.hat.AddInPlace(s.scratch)
-	mat.MulIntoWorkers(s.scratch, s.down, s.t2, s.workers) // down·S·up
-	s.local.AddInPlace(s.scratch)
-	mat.MulIntoWorkers(s.scratch, s.down, s.t1, s.workers) // down·S·down
-	s.down, s.scratch = s.scratch, s.down
-	mat.MulIntoWorkers(s.scratch, s.up, s.t2, s.workers) // up·S·up
-	s.up, s.scratch = s.scratch, s.up
+	colsDown := s.down.NonzeroColsInto(s.cols[:m:m])
+	colsUp := s.up.NonzeroColsInto(s.cols[m:])
+	rd, ru := len(colsDown), len(colsUp)
+	t1 := s.lu.SolveColsInto(s.t1c.ViewOf(s.t1, m, rd), s.down, colsDown)
+	t2 := s.lu.SolveColsInto(s.t2c.ViewOf(s.t2, m, ru), s.up, colsUp)
+	p := s.prod.ViewOf(s.scratch, m, rd)
+	mat.MulIntoWorkers(p, s.up, t1, s.workers) // up·S·down
+	s.local.AddCols(p, colsDown)
+	s.hat.AddCols(p, colsDown)
+	p = s.prod.ViewOf(s.scratch, m, ru)
+	mat.MulIntoWorkers(p, s.down, t2, s.workers) // down·S·up
+	s.local.AddCols(p, colsUp)
+	p = s.prod.ViewOf(s.scratch, m, rd)
+	mat.MulIntoWorkers(p, s.down, t1, s.workers) // down·S·down
+	s.down.SetCols(p, colsDown)
+	p = s.prod.ViewOf(s.scratch, m, ru)
+	mat.MulIntoWorkers(p, s.up, t2, s.workers) // up·S·up
+	s.up.SetCols(p, colsUp)
 	s.residual = math.Min(s.infNorm(s.down), s.infNorm(s.up))
 	return s.residual < crTol, nil
 }
 
-// infNorm computes ‖m‖∞ (max absolute row sum) on the preallocated row-sum
-// buffer.
+// infNorm computes max |row sum| of m on the preallocated row-sum buffer.
+// That is ‖m‖∞ only because the iterates are entrywise nonnegative (sums of
+// products of nonnegative blocks and the nonnegative S); a variant whose
+// iterates can turn negative (a shifted reduction, say) must sum absolute
+// values instead, or cancellation will stop the iteration early.
 func (s *crState) infNorm(m *mat.Matrix) float64 {
 	norm := 0.0
 	for _, rs := range m.RowSumsInto(s.rowSums) {
@@ -206,6 +236,24 @@ func (s *crState) infNorm(m *mat.Matrix) float64 {
 		}
 	}
 	return norm
+}
+
+// finish assembles G = (I − Â₀)⁻¹·b2 once the iteration has converged: the
+// first repeating level, censored on itself, reaches level 0 by any number
+// of hat-loops followed by one down step. defect is G's max |1 − rowsum|.
+func (s *crState) finish(b2 *mat.Matrix) (g *mat.Matrix, defect float64, err error) {
+	s.work.SubInto(s.id, s.hat)
+	if err := mat.FactorizeInto(s.lu, s.work); err != nil {
+		return nil, 0, err
+	}
+	g = s.ws.MatrixUninit(b2.Rows(), b2.Cols())
+	s.lu.SolveMatInto(g, b2)
+	for _, rs := range g.RowSumsInto(s.rowSums) {
+		if d := math.Abs(1 - rs); d > defect {
+			defect = d
+		}
+	}
+	return g, defect, nil
 }
 
 // cyclicReduction runs the Bini–Meini cyclic-reduction algorithm on the DTMC
@@ -239,20 +287,9 @@ func cyclicReductionObs(b0, b1, b2 *mat.Matrix, ws *mat.Workspace, o obs.Observe
 		if !done {
 			continue
 		}
-		// G = (I − Â₀)⁻¹·b2: the first repeating level, censored on itself,
-		// reaches level 0 by any number of hat-loops followed by one down
-		// step.
-		s.work.SubInto(s.id, s.hat)
-		if err := mat.FactorizeInto(s.lu, s.work); err != nil {
+		g, defect, err := s.finish(b2)
+		if err != nil {
 			return nil, iter + 1, s.residual, fmt.Errorf("qbd: cyclic reduction: censored level: %w", err)
-		}
-		g = s.ws.MatrixUninit(b0.Rows(), b0.Cols())
-		s.lu.SolveMatInto(g, b2)
-		defect := 0.0
-		for _, rs := range g.RowSumsInto(s.rowSums) {
-			if d := math.Abs(1 - rs); d > defect {
-				defect = d
-			}
 		}
 		return g, iter + 1, defect, nil
 	}

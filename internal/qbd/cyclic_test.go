@@ -1,6 +1,7 @@
 package qbd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -203,5 +204,115 @@ func TestParseRScheme(t *testing.T) {
 	}
 	if _, err := ParseRScheme("newton"); err == nil {
 		t.Fatal("ParseRScheme accepted an unknown scheme")
+	}
+}
+
+// stepDense is the full-width cyclic-reduction step that step replaced,
+// kept as the reference the column-compacted step must reproduce bit for
+// bit: both solves and all four products sweep every column of down and up,
+// zero or not.
+func (s *crState) stepDense() (done bool, err error) {
+	s.work.SubInto(s.id, s.local)
+	if err := mat.FactorizeInto(s.lu, s.work); err != nil {
+		return false, err
+	}
+	s.lu.SolveMatInto(s.t1, s.down)
+	s.lu.SolveMatInto(s.t2, s.up)
+	mat.MulIntoWorkers(s.scratch, s.up, s.t1, s.workers) // up·S·down
+	s.local.AddInPlace(s.scratch)
+	s.hat.AddInPlace(s.scratch)
+	mat.MulIntoWorkers(s.scratch, s.down, s.t2, s.workers) // down·S·up
+	s.local.AddInPlace(s.scratch)
+	mat.MulIntoWorkers(s.scratch, s.down, s.t1, s.workers) // down·S·down
+	s.down, s.scratch = s.scratch, s.down
+	mat.MulIntoWorkers(s.scratch, s.up, s.t2, s.workers) // up·S·up
+	s.up, s.scratch = s.scratch, s.up
+	s.residual = math.Min(s.infNorm(s.down), s.infNorm(s.up))
+	return s.residual < crTol, nil
+}
+
+// compareCompactSteps runs the compacted and the dense step side by side on
+// the DTMC blocks of p, requiring every iterate to match bit for bit after
+// every iteration and the assembled G to match too. It returns the
+// iteration count and the number of nonzero columns left in the final down
+// and up iterates.
+func compareCompactSteps(t *testing.T, p *Process) (iters, downCols, upCols int) {
+	t.Helper()
+	b0, b1, b2, err := p.dtmcBlocks(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact := newCRState(p.Order(), nil, 1)
+	dense := newCRState(p.Order(), nil, 1)
+	compact.start(b0, b1, b2)
+	dense.start(b0, b1, b2)
+	for iter := 1; iter <= 200; iter++ {
+		doneC, errC := compact.step()
+		doneD, errD := dense.stepDense()
+		if errC != nil || errD != nil {
+			t.Fatalf("iteration %d: compact err %v, dense err %v", iter, errC, errD)
+		}
+		for _, it := range []struct {
+			name string
+			c, d *mat.Matrix
+		}{{"down", compact.down, dense.down}, {"up", compact.up, dense.up},
+			{"local", compact.local, dense.local}, {"hat", compact.hat, dense.hat}} {
+			requireBitIdentical(t, fmt.Sprintf("iteration %d %s", iter, it.name), it.c, it.d)
+		}
+		if math.Float64bits(compact.residual) != math.Float64bits(dense.residual) || doneC != doneD {
+			t.Fatalf("iteration %d: residual %g vs %g, done %v vs %v",
+				iter, compact.residual, dense.residual, doneC, doneD)
+		}
+		if !doneC {
+			continue
+		}
+		gC, _, err := compact.finish(b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gD, _, err := dense.finish(b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, "G", gC, gD)
+		// The production entry point runs the same iteration.
+		g, err := p.G()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, "Process.G", g, gD)
+		cols := make([]int, p.Order())
+		return iter, len(dense.down.NonzeroColsInto(cols)), len(dense.up.NonzeroColsInto(cols))
+	}
+	t.Fatal("no convergence in 200 iterations")
+	return 0, 0, 0
+}
+
+func requireBitIdentical(t *testing.T, what string, got, want *mat.Matrix) {
+	t.Helper()
+	for i := 0; i < want.Rows(); i++ {
+		for j := 0; j < want.Cols(); j++ {
+			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s(%d,%d) = %v (bits %#x), dense reference %v (bits %#x)",
+					what, i, j, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// TestCompactStepBitIdentical pins the column-compacted cyclic-reduction
+// step against the full-width reference on the unit processes: a one-phase
+// chain, a chain whose A2 has a structurally zero column, and a large chain
+// whose scaled-identity blocks keep every column.
+func TestCompactStepBitIdentical(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func() *Process
+	}{
+		{"mm1", func() *Process { p, _ := mm1(1, 2.5); return p }},
+		{"me2q", func() *Process { p, _ := me2q(0.4, 1.0); return p }},
+		{"big96", func() *Process { return bigProcess(t, 96) }},
+	} {
+		t.Run(c.name, func(t *testing.T) { compareCompactSteps(t, c.build()) })
 	}
 }

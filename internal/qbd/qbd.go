@@ -1,8 +1,10 @@
 // Package qbd solves Quasi-Birth-Death processes — continuous-time Markov
 // chains whose generator is block tridiagonal with a repeating portion —
-// using the matrix-geometric method of Neuts and the logarithmic-reduction
-// algorithm of Latouche and Ramaswami, the same machinery the paper cites
-// ([10]) for solving its foreground/background model.
+// using the matrix-geometric method of Neuts, the machinery the paper cites
+// ([10]) for solving its foreground/background model. The first-passage
+// matrix G comes from the cyclic-reduction algorithm of Bini and Meini by
+// default; the logarithmic-reduction algorithm of Latouche and Ramaswami,
+// the one the paper cites, is selectable as an independent cross-check.
 //
 // A QBD is described by the repeating blocks (A0, A1, A2): A0 carries the
 // rates one level up, A2 one level down, and A1 the within-level rates
@@ -11,8 +13,10 @@
 // minimal nonnegative solution of A0 + R·A1 + R²·A2 = 0.
 //
 // The solver hot loops run on preallocated working sets (mat.Workspace and
-// the *Into kernels): the logarithmic-reduction iteration performs zero heap
-// allocations in steady state, pinned by regression tests.
+// the *Into kernels): both reduction iterations perform zero heap
+// allocations in steady state, pinned by regression tests. The cyclic
+// reduction also skips the structurally zero columns of its level-down and
+// level-up iterates, bit-identically to the full-width step.
 package qbd
 
 import (
@@ -332,8 +336,8 @@ func (p *Process) Stable() (bool, error) {
 
 // G computes the first-passage matrix G — entry (i,j) is the probability that
 // the process, started in phase i of level n+1, first enters level n in phase
-// j — by logarithmic reduction on the uniformized chain. For a recurrent QBD,
-// G is stochastic.
+// j — on the uniformized chain, by the scheme the installed Tuning selects
+// (cyclic reduction by default). For a recurrent QBD, G is stochastic.
 func (p *Process) G() (*mat.Matrix, error) {
 	g, _, _, err := p.gWS(nil, nil)
 	return g, err
@@ -344,29 +348,14 @@ func (p *Process) G() (*mat.Matrix, error) {
 // trace (nil is valid for both). It also returns the iteration count and the
 // final residual for convergence reporting.
 func (p *Process) gWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, int, float64, error) {
-	// Uniformize: the diagonal lives in A1.
-	theta := 0.0
-	for i := 0; i < p.order; i++ {
-		if d := -p.a1.At(i, i); d > theta {
-			theta = d
-		}
+	b0, b1, b2, err := p.dtmcBlocks(ws)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	if theta == 0 {
-		return nil, 0, 0, fmt.Errorf("%w: zero generator", ErrInvalid)
-	}
-	theta *= 1 + 1e-12
-	m := p.order
-	b0 := ws.MatrixUninit(m, m).ScaleInto(p.a0, 1/theta)
-	b1 := ws.MatrixUninit(m, m).ScaleInto(p.a1, 1/theta)
-	for i := 0; i < m; i++ {
-		b1.Add(i, i, 1)
-	}
-	b2 := ws.MatrixUninit(m, m).ScaleInto(p.a2, 1/theta)
 	var (
 		g        *mat.Matrix
 		iters    int
 		residual float64
-		err      error
 	)
 	switch p.tuning.Scheme {
 	case RSchemeLogarithmic:
@@ -376,6 +365,31 @@ func (p *Process) gWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, int, floa
 	}
 	ws.Release(b0, b1, b2)
 	return g, iters, residual, err
+}
+
+// dtmcBlocks uniformizes the repeating blocks into the DTMC blocks (b0 up,
+// b1 local, b2 down) the G iterations run on, drawing them from ws (nil
+// allocates). The diagonal lives in A1; θ is its largest magnitude, nudged
+// up so every diagonal of b1 stays positive.
+func (p *Process) dtmcBlocks(ws *mat.Workspace) (b0, b1, b2 *mat.Matrix, err error) {
+	theta := 0.0
+	for i := 0; i < p.order; i++ {
+		if d := -p.a1.At(i, i); d > theta {
+			theta = d
+		}
+	}
+	if theta == 0 {
+		return nil, nil, nil, fmt.Errorf("%w: zero generator", ErrInvalid)
+	}
+	theta *= 1 + 1e-12
+	m := p.order
+	b0 = ws.MatrixUninit(m, m).ScaleInto(p.a0, 1/theta)
+	b1 = ws.MatrixUninit(m, m).ScaleInto(p.a1, 1/theta)
+	for i := 0; i < m; i++ {
+		b1.Add(i, i, 1)
+	}
+	b2 = ws.MatrixUninit(m, m).ScaleInto(p.a2, 1/theta)
+	return b0, b1, b2, nil
 }
 
 // logRedState is the preallocated working set of one logarithmic-reduction
@@ -594,7 +608,7 @@ func (p *Process) rWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, error) {
 
 // RByIteration computes R by the classical functional iteration
 // R ← −(A0 + R²A2)·A1⁻¹, mainly as an independent cross-check of the
-// logarithmic-reduction path. tol is the max-abs change stopping criterion.
+// reduction schemes. tol is the max-abs change stopping criterion.
 // The loop runs on four preallocated buffers (R, R², the assembled update,
 // and a difference scratch) with zero allocations per iteration.
 func (p *Process) RByIteration(tol float64, maxIter int) (*mat.Matrix, error) {

@@ -401,3 +401,28 @@ func BenchmarkSolveME21(b *testing.B) {
 		}
 	}
 }
+
+// TestSolveMulBudget pins the matrix products of a whole Solve: the R-solve's
+// MulBudget plus A0·G and A0·(−U)⁻¹ for R, then one product for the censored
+// top level and two per boundary level in the sweep. The tail moments and
+// the normalising mass add none — they are vector left-solves against one
+// factorization of I−R, not products of (I−R)⁻¹ (which cost four).
+func TestSolveMulBudget(t *testing.T) {
+	p, b := me2q(0.4, 1.0)
+	b0, b1, b2, err := p.dtmcBlocks(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, iters, err := cyclicReduction(b0, b1, b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat.ResetMulCount()
+	if _, err := Solve(b, p); err != nil {
+		t.Fatal(err)
+	}
+	want := MulBudget(RSchemeCyclic, iters) + 2 + 1 + 2*int64(len(b.Local))
+	if got := mat.MulCount(); got != want {
+		t.Fatalf("Solve used %d matrix products, want exactly %d (%d iterations)", got, want, iters)
+	}
+}

@@ -43,10 +43,10 @@
 // fanned out over the internal/par worker pool), POST /v1/optimize (one
 // capacity plan), POST /v1/plan-from-trace (trace upload → fit → plan),
 // GET /healthz, GET /metrics (JSON snapshot: serve-layer counters plus the
-// solver diagnostics report), and GET /debug/vars (the process-wide expvar
-// mirrors). Everything is instrumented through internal/obs: cache hits and
-// misses, coalesced requests, in-flight solves and plans, and p50/p99 solve
-// latency.
+// solver diagnostics report), and GET /debug/vars (the process-wide obs
+// counters, published as expvars). Everything is instrumented through
+// internal/obs: cache hits and misses, coalesced requests, in-flight solves
+// and plans, and p50/p99 solve latency.
 package serve
 
 import (
@@ -69,6 +69,7 @@ import (
 	"bgperf/internal/par"
 	"bgperf/internal/plan"
 	"bgperf/internal/qbd"
+	"bgperf/internal/request"
 	"bgperf/internal/trace"
 	"bgperf/internal/workload"
 )
@@ -155,6 +156,16 @@ type Server struct {
 	// before the solver — so tests can hold a solve in flight while
 	// follower requests pile onto the coalescing group.
 	solveBarrier func()
+}
+
+// init publishes the process-wide obs counters (the solver's bgperf.solves
+// family and the serve layer's bgperf.serve.* family) as expvars, so GET
+// /debug/vars serves them under their names. obs keeps them as plain
+// atomics, which keeps expvar and net/http out of binaries that only solve.
+func init() {
+	for _, c := range obs.ProcessCounters() {
+		expvar.Publish(c.Name(), expvar.Func(func() any { return c.Value() }))
+	}
 }
 
 // New returns a ready-to-mount Server over the given options: it opens
@@ -547,6 +558,23 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, res)
 }
 
+// SolveRequest is the JSON body of POST /v1/solve: one parameter point in
+// the bgperf CLI's vocabulary. It is defined in internal/request, which the
+// CLI shares without linking any transport code.
+type SolveRequest = request.SolveRequest
+
+// OptimizeRequest is the JSON body of POST /v1/optimize: a base model plus
+// the SLO and search knobs of one capacity plan (see internal/request).
+type OptimizeRequest = request.OptimizeRequest
+
+// SweepRequest is the JSON body of POST /v1/sweep: a batch of independent
+// parameter points fanned out over the daemon's worker pool. Each point
+// passes through the same cache and coalescing path as a single solve.
+type SweepRequest struct {
+	// Points are the parameter points to solve, answered index-aligned.
+	Points []SolveRequest `json:"points"`
+}
+
 // handleSweep answers POST /v1/sweep: a batch of points fanned out over the
 // worker pool. Point-level failures are embedded per result; the HTTP
 // status is 200 whenever the sweep itself was well-formed.
@@ -777,7 +805,7 @@ func (s *Server) handlePlanFromTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	popts, err := req.planOptions()
+	popts, err := req.PlanOptions()
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return

@@ -492,9 +492,33 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("diag section should show the one solve: %+v", snap.Diag)
 	}
 
+	// /debug/vars publishes every process-wide obs counter — the serve
+	// family and the solver family — under its name, as a JSON integer that
+	// reflects the work above.
 	rec = httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "bgperf.serve.cache_hits") {
-		t.Fatalf("debug/vars missing serve counters: %d", rec.Code)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("debug/vars: status %d", rec.Code)
+	}
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		t.Fatalf("debug/vars not JSON: %v", err)
+	}
+	for _, c := range obs.ProcessCounters() {
+		raw, ok := vars[c.Name()]
+		if !ok {
+			t.Errorf("debug/vars missing %s", c.Name())
+			continue
+		}
+		var v int64
+		if err := json.Unmarshal(raw, &v); err != nil {
+			t.Errorf("debug/vars %s = %s, not an integer", c.Name(), raw)
+		}
+	}
+	for _, name := range []string{"bgperf.serve.cache_hits", "bgperf.serve.solves", "bgperf.solves", "bgperf.r_iterations"} {
+		var v int64
+		if err := json.Unmarshal(vars[name], &v); err != nil || v < 1 {
+			t.Errorf("debug/vars %s = %s, want >= 1 after a solve and a cache hit", name, vars[name])
+		}
 	}
 }
