@@ -8,10 +8,13 @@ package bgperf_test
 // artifacts are produced by cmd/experiments.
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"bgperf"
 	"bgperf/internal/experiments"
+	"bgperf/internal/mat"
 )
 
 func benchOptions() experiments.Options {
@@ -221,6 +224,82 @@ func BenchmarkBaseline(b *testing.B) { benchFigure(b, "baseline") }
 // BenchmarkScalability exercises the solver-scaling table (S-1); each
 // iteration runs the full buffer/order sweep including X = 50.
 func BenchmarkScalability(b *testing.B) { benchFigure(b, "scalability") }
+
+// kernelOrders are the block orders of the mat-layer kernel benchmarks: 22
+// is the paper-default chain (it guards the per-call overhead of the row
+// kernels on small blocks), 244 the order of BenchmarkSolveLarge.
+var kernelOrders = []int{22, 244}
+
+// kernelMatrix returns a dense n×n matrix with entries uniform in [-1, 1)
+// and, when dominant is set, a diagonal that makes it strictly diagonally
+// dominant (so it factorizes without trouble).
+func kernelMatrix(rng *rand.Rand, n int, dominant bool) *mat.Matrix {
+	m := mat.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			m.Set(i, j, 2*rng.Float64()-1)
+		}
+		if dominant {
+			m.Set(i, i, float64(n)+1)
+		}
+	}
+	return m
+}
+
+// benchKernel runs op once per iteration for each order in kernelOrders,
+// after setup builds its operands.
+func benchKernel(b *testing.B, setup func(rng *rand.Rand, n int) func()) {
+	for _, n := range kernelOrders {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			op := setup(rand.New(rand.NewSource(int64(n))), n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
+// BenchmarkKernelMul times one dense n×n product through MulInto: the
+// zero-skipping naive kernel at order 22, the blocked kernel at order 244.
+func BenchmarkKernelMul(b *testing.B) {
+	benchKernel(b, func(rng *rand.Rand, n int) func() {
+		x, y, dst := kernelMatrix(rng, n, false), kernelMatrix(rng, n, false), mat.New(n, n)
+		return func() { dst.MulInto(x, y) }
+	})
+}
+
+// BenchmarkKernelLU times one LU factorization with partial pivoting of a
+// dense n×n matrix into a reused factor.
+func BenchmarkKernelLU(b *testing.B) {
+	benchKernel(b, func(rng *rand.Rand, n int) func() {
+		a, f := kernelMatrix(rng, n, true), mat.NewLU(n)
+		return func() {
+			if err := mat.FactorizeInto(f, a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkKernelSolveCols times the multi-right-hand-side substitution of
+// the cyclic-reduction step: SolveColsInto over every column of a dense n×n
+// right-hand side, against a fixed factorization.
+func BenchmarkKernelSolveCols(b *testing.B) {
+	benchKernel(b, func(rng *rand.Rand, n int) func() {
+		f, err := mat.Factorize(kernelMatrix(rng, n, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rhs, dst := kernelMatrix(rng, n, false), mat.New(n, n)
+		cols := make([]int, n)
+		for j := range cols {
+			cols[j] = j
+		}
+		return func() { f.SolveColsInto(dst, rhs, cols) }
+	})
+}
 
 // benchSuiteWorkers regenerates Figures 5–8 from a fresh Suite per iteration
 // with the given worker-pool width, measuring the whole utilization ×

@@ -1,6 +1,7 @@
 package mat
 
-// Matrix-multiply kernels behind MulInto.
+// Matrix-multiply kernels behind MulInto, and the row-update primitives
+// every inner loop of the package runs on.
 //
 // The naive kernel is the original i-k-j loop with a zero-skip on a's
 // entries; it wins on the small, structurally sparse generator blocks of the
@@ -10,10 +11,26 @@ package mat
 // loop 4-way so each destination element is loaded and stored once per four
 // accumulations instead of once per one.
 //
-// Determinism contract: for every output element, both kernels apply the
-// products in strictly ascending k order with no reassociation, so they
-// produce identical floating-point results (up to the sign of exact zeros).
-// Tests in kernels_test.go pin this.
+// Both kernels, LU elimination, the tiled and vector substitutions and the
+// row-vector products spend their time in four row updates:
+//
+//	madd4: dst[j] = (((dst[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]) + a3·b3[j]
+//	msub4: the same with every term subtracted
+//	madd1: dst[j] += a·b[j]
+//	msub1: dst[j] -= a·b[j]
+//
+// On amd64 CPUs with AVX2 (and OS support for the YMM state, checked once
+// at start-up) rows of at least minAVX2Len elements run as assembly
+// (kernels_amd64.s); shorter rows, and every row elsewhere, run the Go loops
+// in kernels_generic.go. Kernels reports which set runs.
+//
+// Determinism contract: for every output element the products apply in
+// strictly ascending k order (descending j in back substitution), each
+// product rounded before the add or subtract that applies it — no FMA, no
+// reassociation. SIMD only spreads the work across j, so the assembly and
+// generic kernels, and the naive and blocked multiplies, give bit-identical
+// results (up to the sign of exact zeros between the naive and blocked
+// multiplies, whose zero-skips differ). Tests in kernels_test.go pin this.
 
 const (
 	// blockedMulMin is the minimum inner dimension (a.cols) and output width
@@ -36,17 +53,10 @@ func mulIntoNaive(m, a, b *Matrix) { mulIntoNaiveRows(m, a, b, 0, a.rows) }
 func mulIntoNaiveRows(m, a, b *Matrix, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		dst := m.a[i*m.cols : (i+1)*m.cols]
-		for k := range dst {
-			dst[k] = 0
-		}
+		clear(dst)
 		for k := 0; k < a.cols; k++ {
-			aik := a.a[i*a.cols+k]
-			if aik == 0 {
-				continue
-			}
-			brow := b.a[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				dst[j] += aik * bv
+			if aik := a.a[i*a.cols+k]; aik != 0 {
+				madd1(dst, aik, b.a[k*b.cols:(k+1)*b.cols])
 			}
 		}
 	}
@@ -60,135 +70,80 @@ func mulIntoBlocked(m, a, b *Matrix) { mulIntoBlockedRows(m, a, b, 0, a.rows) }
 // for the row-banded parallel multiply. Per output row the arithmetic is the
 // serial kernel's, so banding never changes bits.
 //
-// Rows advance in pairs: the four b rows of each k quad are loaded once and
-// feed both output rows, halving the streamed b traffic, and the two
-// accumulator chains are independent, so the FP-add latency of one row hides
-// behind the other. Each output row still applies its products in strictly
-// ascending k order as four separate accumulations — pairing changes which
-// row computes next, never the order within a row, so results are
-// bit-identical to the single-row kernel (pinned by tests).
+// Rows advance in pairs: the four b rows of each k quad are read for both
+// output rows back to back, so they stay in L1 for the second. Each output
+// row still applies its products in strictly ascending k order as four
+// separate accumulations (one madd4 per quad) and skips exactly the quads
+// whose four coefficients are zero — pairing changes which row computes
+// next, never the order within a row, so results are bit-identical to the
+// single-row kernel (pinned by tests).
 func mulIntoBlockedRows(m, a, b *Matrix, i0, i1 int) {
 	inner, width := a.cols, b.cols
 	for jt := 0; jt < width; jt += mulBlockJ {
-		jhi := jt + mulBlockJ
-		if jhi > width {
-			jhi = width
-		}
+		jhi := min(jt+mulBlockJ, width)
 		i := i0
 		for ; i+1 < i1; i += 2 {
-			dst0 := m.a[i*width+jt : i*width+jhi]
-			dst1 := m.a[(i+1)*width+jt : (i+1)*width+jhi]
-			for j := range dst0 {
-				dst0[j] = 0
-				dst1[j] = 0
-			}
+			dst0, dst1 := m.tileRow(i, jt, jhi), m.tileRow(i+1, jt, jhi)
+			clear(dst0)
+			clear(dst1)
 			arow0 := a.a[i*inner : (i+1)*inner]
 			arow1 := a.a[(i+1)*inner : (i+2)*inner]
 			k := 0
 			for ; k+3 < inner; k += 4 {
-				a00, a01, a02, a03 := arow0[k], arow0[k+1], arow0[k+2], arow0[k+3]
-				a10, a11, a12, a13 := arow1[k], arow1[k+1], arow1[k+2], arow1[k+3]
-				zero0 := a00 == 0 && a01 == 0 && a02 == 0 && a03 == 0
-				zero1 := a10 == 0 && a11 == 0 && a12 == 0 && a13 == 0
+				c0 := (*[4]float64)(arow0[k : k+4])
+				c1 := (*[4]float64)(arow1[k : k+4])
+				zero0, zero1 := isZero4(c0), isZero4(c1)
 				if zero0 && zero1 {
 					continue
 				}
-				b0 := b.a[k*width+jt : k*width+jhi]
-				b1 := b.a[(k+1)*width+jt : (k+1)*width+jhi]
-				b2 := b.a[(k+2)*width+jt : (k+2)*width+jhi]
-				b3 := b.a[(k+3)*width+jt : (k+3)*width+jhi]
-				switch {
-				case zero1:
-					for j := range dst0 {
-						t := dst0[j]
-						t += a00 * b0[j]
-						t += a01 * b1[j]
-						t += a02 * b2[j]
-						t += a03 * b3[j]
-						dst0[j] = t
-					}
-				case zero0:
-					for j := range dst1 {
-						t := dst1[j]
-						t += a10 * b0[j]
-						t += a11 * b1[j]
-						t += a12 * b2[j]
-						t += a13 * b3[j]
-						dst1[j] = t
-					}
-				default:
-					for j := range dst0 {
-						t0 := dst0[j]
-						t0 += a00 * b0[j]
-						t0 += a01 * b1[j]
-						t0 += a02 * b2[j]
-						t0 += a03 * b3[j]
-						dst0[j] = t0
-						t1 := dst1[j]
-						t1 += a10 * b0[j]
-						t1 += a11 * b1[j]
-						t1 += a12 * b2[j]
-						t1 += a13 * b3[j]
-						dst1[j] = t1
-					}
+				b0, b1, b2, b3 := b.tileRows4(k, 1, jt, jhi)
+				if !zero0 {
+					madd4(dst0, c0, b0, b1, b2, b3)
+				}
+				if !zero1 {
+					madd4(dst1, c1, b0, b1, b2, b3)
 				}
 			}
 			for ; k < inner; k++ {
-				a0v, a1v := arow0[k], arow1[k]
-				if a0v == 0 && a1v == 0 {
-					continue
+				brow := b.tileRow(k, jt, jhi)
+				if v := arow0[k]; v != 0 {
+					madd1(dst0, v, brow)
 				}
-				brow := b.a[k*width+jt : k*width+jhi]
-				if a0v != 0 {
-					for j, bv := range brow {
-						dst0[j] += a0v * bv
-					}
-				}
-				if a1v != 0 {
-					for j, bv := range brow {
-						dst1[j] += a1v * bv
-					}
+				if v := arow1[k]; v != 0 {
+					madd1(dst1, v, brow)
 				}
 			}
 		}
 		for ; i < i1; i++ {
-			dst := m.a[i*width+jt : i*width+jhi]
-			for j := range dst {
-				dst[j] = 0
-			}
+			dst := m.tileRow(i, jt, jhi)
+			clear(dst)
 			arow := a.a[i*inner : (i+1)*inner]
 			k := 0
 			for ; k+3 < inner; k += 4 {
-				a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				b0 := b.a[k*width+jt : k*width+jhi]
-				b1 := b.a[(k+1)*width+jt : (k+1)*width+jhi]
-				b2 := b.a[(k+2)*width+jt : (k+2)*width+jhi]
-				b3 := b.a[(k+3)*width+jt : (k+3)*width+jhi]
-				for j := range dst {
-					// Four separate accumulations (not one summed
-					// expression) keep the k-ascending rounding order of the
-					// naive kernel.
-					t := dst[j]
-					t += a0 * b0[j]
-					t += a1 * b1[j]
-					t += a2 * b2[j]
-					t += a3 * b3[j]
-					dst[j] = t
+				if c := (*[4]float64)(arow[k : k+4]); !isZero4(c) {
+					b0, b1, b2, b3 := b.tileRows4(k, 1, jt, jhi)
+					madd4(dst, c, b0, b1, b2, b3)
 				}
 			}
 			for ; k < inner; k++ {
-				aik := arow[k]
-				if aik == 0 {
-					continue
-				}
-				brow := b.a[k*width+jt : k*width+jhi]
-				for j, bv := range brow {
-					dst[j] += aik * bv
+				if v := arow[k]; v != 0 {
+					madd1(dst, v, b.tileRow(k, jt, jhi))
 				}
 			}
 		}
 	}
 }
+
+// tileRow returns columns [j0, j1) of row i.
+func (m *Matrix) tileRow(i, j0, j1 int) []float64 { return m.a[i*m.cols+j0 : i*m.cols+j1] }
+
+// tileRows4 returns columns [j0, j1) of rows i, i+d, i+2d and i+3d — the
+// four source rows of a madd4/msub4 quad (d = -1 walks upwards).
+func (m *Matrix) tileRows4(i, d, j0, j1 int) (r0, r1, r2, r3 []float64) {
+	p, s := i*m.cols, d*m.cols
+	return m.a[p+j0 : p+j1], m.a[p+s+j0 : p+s+j1], m.a[p+2*s+j0 : p+2*s+j1], m.a[p+3*s+j0 : p+3*s+j1]
+}
+
+// isZero4 reports whether all four coefficients of a quad compare equal to
+// zero (either sign) — the quads every kernel skips.
+func isZero4(c *[4]float64) bool { return c[0] == 0 && c[1] == 0 && c[2] == 0 && c[3] == 0 }

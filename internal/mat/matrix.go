@@ -297,20 +297,7 @@ func (m *Matrix) Transpose() *Matrix {
 
 // VecMul returns the row-vector product x·m.
 func (m *Matrix) VecMul(x []float64) []float64 {
-	if len(x) != m.rows {
-		panic(ErrShape)
-	}
-	out := make([]float64, m.cols)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.a[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			out[j] += xi * v
-		}
-	}
-	return out
+	return m.VecMulInto(make([]float64, m.cols), x)
 }
 
 // MulVec returns the column-vector product m·x.
@@ -323,7 +310,7 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		row := m.a[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -336,16 +323,10 @@ func (m *Matrix) VecMulInto(dst, x []float64) []float64 {
 	if len(x) != m.rows || len(dst) != m.cols {
 		panic(ErrShape)
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
+	clear(dst)
 	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.a[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			dst[j] += xi * v
+		if xi != 0 {
+			madd1(dst, xi, m.a[i*m.cols:(i+1)*m.cols])
 		}
 	}
 	return dst
@@ -361,7 +342,7 @@ func (m *Matrix) MulVecInto(dst, x []float64) []float64 {
 		row := m.a[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		dst[i] = s
 	}

@@ -76,54 +76,14 @@ func FactorizeInto(f *LU, a *Matrix) error {
 			sign = -sign
 		}
 		pivVal := lu.a[k*n+k]
-		// Eliminate below the pivot four rows at a time: the pivot row rk
-		// streams once per quad instead of once per row. Every updated element
-		// receives exactly one update per pivot regardless of grouping, so
-		// widening cannot change any result bits. Quads with a zero factor
-		// fall back to per-row updates to keep the zero-skip.
+		// Eliminate below the pivot, skipping rows whose factor is zero.
+		// Every updated element receives exactly one update per pivot.
 		rk := lu.a[k*n+k+1 : (k+1)*n]
-		i := k + 1
-		for ; i+3 < n; i += 4 {
-			fac0 := lu.a[i*n+k] / pivVal
-			fac1 := lu.a[(i+1)*n+k] / pivVal
-			fac2 := lu.a[(i+2)*n+k] / pivVal
-			fac3 := lu.a[(i+3)*n+k] / pivVal
-			lu.a[i*n+k] = fac0
-			lu.a[(i+1)*n+k] = fac1
-			lu.a[(i+2)*n+k] = fac2
-			lu.a[(i+3)*n+k] = fac3
-			ri0 := lu.a[i*n+k+1 : (i+1)*n]
-			ri1 := lu.a[(i+1)*n+k+1 : (i+2)*n]
-			ri2 := lu.a[(i+2)*n+k+1 : (i+3)*n]
-			ri3 := lu.a[(i+3)*n+k+1 : (i+4)*n]
-			if fac0 != 0 && fac1 != 0 && fac2 != 0 && fac3 != 0 {
-				for j, v := range rk {
-					ri0[j] -= fac0 * v
-					ri1[j] -= fac1 * v
-					ri2[j] -= fac2 * v
-					ri3[j] -= fac3 * v
-				}
-				continue
-			}
-			for r, fac := range [4]float64{fac0, fac1, fac2, fac3} {
-				if fac == 0 {
-					continue
-				}
-				ri := [4][]float64{ri0, ri1, ri2, ri3}[r]
-				for j, v := range rk {
-					ri[j] -= fac * v
-				}
-			}
-		}
-		for ; i < n; i++ {
+		for i := k + 1; i < n; i++ {
 			fac := lu.a[i*n+k] / pivVal
 			lu.a[i*n+k] = fac
-			if fac == 0 {
-				continue
-			}
-			ri := lu.a[i*n+k+1 : (i+1)*n]
-			for j, v := range rk {
-				ri[j] -= fac * v
+			if fac != 0 {
+				msub1(lu.a[i*n+k+1:(i+1)*n], fac, rk)
 			}
 		}
 	}
@@ -154,7 +114,7 @@ func (f *LU) SolveVecInto(dst, b []float64) []float64 {
 		row := f.lu.a[i*n : i*n+i]
 		var s float64
 		for j, v := range row {
-			s += v * dst[j]
+			s += float64(v * dst[j])
 		}
 		dst[i] -= s
 	}
@@ -165,7 +125,7 @@ func (f *LU) SolveVecInto(dst, b []float64) []float64 {
 		row := f.lu.a[i*n : (i+1)*n]
 		s := dst[i]
 		for j := n - 1; j > i; j-- {
-			s -= row[j] * dst[j]
+			s -= float64(row[j] * dst[j])
 		}
 		dst[i] = s / row[i]
 	}
@@ -192,8 +152,8 @@ const solveTileWidth = 32
 // separate accumulator — ascending j in the forward pass, descending j in the
 // back pass, the directions that let each pass pair rows — so a tiled solve
 // is bit-identical to a column-by-column solve. Like the blocked multiply
-// kernel, the j loop advances four source rows per pass — as four separate
-// in-order accumulations, never one reassociated sum — so the per-row slice
+// kernel, the j loop advances four source rows per madd4/msub4 call — four
+// separate in-order accumulations, never one reassociated sum — so the call
 // and loop bookkeeping amortizes without changing any bits.
 func (f *LU) substituteTile(x *Matrix, j0, j1 int) { f.substituteTileFrom(x, j0, j1, 0) }
 
@@ -207,9 +167,8 @@ func (f *LU) substituteTile(x *Matrix, j0, j1 int) { f.substituteTileFrom(x, j0,
 // substitution work of a full inverse.
 func (f *LU) substituteTileFrom(x *Matrix, j0, j1, start int) {
 	n := f.lu.rows
-	width := x.cols
-	var acc, acc1 [solveTileWidth]float64
-	t := j1 - j0
+	var accBuf, acc1Buf [solveTileWidth]float64
+	acc, acc1 := accBuf[:j1-j0], acc1Buf[:j1-j0]
 	// Forward substitution with unit lower-triangular L. Rows advance in
 	// pairs (i, i+1): the shared prefix j < i streams each x row once for
 	// both accumulator chains; row i then finishes, and row i+1 applies its
@@ -221,132 +180,55 @@ func (f *LU) substituteTileFrom(x *Matrix, j0, j1, start int) {
 	for ; i+1 < n; i += 2 {
 		row0 := f.lu.a[i*n : i*n+i]
 		row1 := f.lu.a[(i+1)*n : (i+1)*n+i+1]
-		for c := 0; c < t; c++ {
-			acc[c] = 0
-			acc1[c] = 0
-		}
+		clear(acc)
+		clear(acc1)
 		j := start
 		for ; j+3 < i; j += 4 {
-			v00, v01, v02, v03 := row0[j], row0[j+1], row0[j+2], row0[j+3]
-			v10, v11, v12, v13 := row1[j], row1[j+1], row1[j+2], row1[j+3]
-			zero0 := v00 == 0 && v01 == 0 && v02 == 0 && v03 == 0
-			zero1 := v10 == 0 && v11 == 0 && v12 == 0 && v13 == 0
+			c0, c1 := (*[4]float64)(row0[j:j+4]), (*[4]float64)(row1[j:j+4])
+			zero0, zero1 := isZero4(c0), isZero4(c1)
 			if zero0 && zero1 {
 				continue
 			}
-			x0 := x.a[j*width+j0 : j*width+j1]
-			x1 := x.a[(j+1)*width+j0 : (j+1)*width+j1]
-			x2 := x.a[(j+2)*width+j0 : (j+2)*width+j1]
-			x3 := x.a[(j+3)*width+j0 : (j+3)*width+j1]
-			// Reslicing the accumulators to the tile length lets the compiler
-			// drop the per-access bounds checks inside the hot loops.
-			a0s, a1s := acc[:len(x0)], acc1[:len(x0)]
-			switch {
-			case zero1:
-				for c := range x0 {
-					a := a0s[c]
-					a += v00 * x0[c]
-					a += v01 * x1[c]
-					a += v02 * x2[c]
-					a += v03 * x3[c]
-					a0s[c] = a
-				}
-			case zero0:
-				for c := range x0 {
-					a := a1s[c]
-					a += v10 * x0[c]
-					a += v11 * x1[c]
-					a += v12 * x2[c]
-					a += v13 * x3[c]
-					a1s[c] = a
-				}
-			default:
-				for c := range x0 {
-					a0 := a0s[c]
-					a0 += v00 * x0[c]
-					a0 += v01 * x1[c]
-					a0 += v02 * x2[c]
-					a0 += v03 * x3[c]
-					a0s[c] = a0
-					a1 := a1s[c]
-					a1 += v10 * x0[c]
-					a1 += v11 * x1[c]
-					a1 += v12 * x2[c]
-					a1 += v13 * x3[c]
-					a1s[c] = a1
-				}
+			x0, x1, x2, x3 := x.tileRows4(j, 1, j0, j1)
+			if !zero0 {
+				madd4(acc, c0, x0, x1, x2, x3)
+			}
+			if !zero1 {
+				madd4(acc1, c1, x0, x1, x2, x3)
 			}
 		}
 		for ; j < i; j++ {
-			v0, v1 := row0[j], row1[j]
-			if v0 == 0 && v1 == 0 {
-				continue
+			xrow := x.tileRow(j, j0, j1)
+			if v := row0[j]; v != 0 {
+				madd1(acc, v, xrow)
 			}
-			xrow := x.a[j*width+j0 : j*width+j1]
-			if v0 != 0 {
-				for c, xv := range xrow {
-					acc[c] += v0 * xv
-				}
-			}
-			if v1 != 0 {
-				for c, xv := range xrow {
-					acc1[c] += v1 * xv
-				}
+			if v := row1[j]; v != 0 {
+				madd1(acc1, v, xrow)
 			}
 		}
-		dst := x.a[i*width+j0 : i*width+j1]
-		for c := range dst {
-			dst[c] -= acc[c]
-		}
+		dst := x.tileRow(i, j0, j1)
+		subInPlace(dst, acc)
 		if v := row1[i]; v != 0 {
-			for c, xv := range dst {
-				acc1[c] += v * xv
-			}
+			madd1(acc1, v, dst)
 		}
-		dst1 := x.a[(i+1)*width+j0 : (i+1)*width+j1]
-		for c := range dst1 {
-			dst1[c] -= acc1[c]
-		}
+		subInPlace(x.tileRow(i+1, j0, j1), acc1)
 	}
 	for ; i < n; i++ {
 		row := f.lu.a[i*n : i*n+i]
-		for c := 0; c < t; c++ {
-			acc[c] = 0
-		}
+		clear(acc)
 		j := start
 		for ; j+3 < i; j += 4 {
-			v0, v1, v2, v3 := row[j], row[j+1], row[j+2], row[j+3]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			x0 := x.a[j*width+j0 : j*width+j1]
-			x1 := x.a[(j+1)*width+j0 : (j+1)*width+j1]
-			x2 := x.a[(j+2)*width+j0 : (j+2)*width+j1]
-			x3 := x.a[(j+3)*width+j0 : (j+3)*width+j1]
-			as := acc[:len(x0)]
-			for c := range x0 {
-				a := as[c]
-				a += v0 * x0[c]
-				a += v1 * x1[c]
-				a += v2 * x2[c]
-				a += v3 * x3[c]
-				as[c] = a
+			if c := (*[4]float64)(row[j : j+4]); !isZero4(c) {
+				x0, x1, x2, x3 := x.tileRows4(j, 1, j0, j1)
+				madd4(acc, c, x0, x1, x2, x3)
 			}
 		}
 		for ; j < i; j++ {
-			v := row[j]
-			if v == 0 {
-				continue
-			}
-			xrow := x.a[j*width+j0 : j*width+j1]
-			for c, xv := range xrow {
-				acc[c] += v * xv
+			if v := row[j]; v != 0 {
+				madd1(acc, v, x.tileRow(j, j0, j1))
 			}
 		}
-		dst := x.a[i*width+j0 : i*width+j1]
-		for c := range dst {
-			dst[c] -= acc[c]
-		}
+		subInPlace(x.tileRow(i, j0, j1), acc)
 	}
 	// Back substitution with U, in descending j order per row — the same
 	// order as SolveVecInto. Rows retire in pairs (i, i−1): both share the
@@ -359,133 +241,74 @@ func (f *LU) substituteTileFrom(x *Matrix, j0, j1, start int) {
 	for ; i-1 >= 0; i -= 2 {
 		row1 := f.lu.a[i*n : (i+1)*n]
 		row0 := f.lu.a[(i-1)*n : i*n]
-		dst1 := x.a[i*width+j0 : i*width+j1]
-		dst0 := x.a[(i-1)*width+j0 : (i-1)*width+j1]
-		for c, xv := range dst1 {
-			acc1[c] = xv
-			acc[c] = dst0[c]
-		}
+		dst1 := x.tileRow(i, j0, j1)
+		dst0 := x.tileRow(i-1, j0, j1)
+		copy(acc1, dst1)
+		copy(acc, dst0)
 		j := n - 1
 		for ; j-3 > i; j -= 4 {
-			v10, v11, v12, v13 := row1[j], row1[j-1], row1[j-2], row1[j-3]
-			v00, v01, v02, v03 := row0[j], row0[j-1], row0[j-2], row0[j-3]
-			zero1 := v10 == 0 && v11 == 0 && v12 == 0 && v13 == 0
-			zero0 := v00 == 0 && v01 == 0 && v02 == 0 && v03 == 0
+			c1 := [4]float64{row1[j], row1[j-1], row1[j-2], row1[j-3]}
+			c0 := [4]float64{row0[j], row0[j-1], row0[j-2], row0[j-3]}
+			zero0, zero1 := isZero4(&c0), isZero4(&c1)
 			if zero0 && zero1 {
 				continue
 			}
-			x0 := x.a[j*width+j0 : j*width+j1]
-			x1 := x.a[(j-1)*width+j0 : (j-1)*width+j1]
-			x2 := x.a[(j-2)*width+j0 : (j-2)*width+j1]
-			x3 := x.a[(j-3)*width+j0 : (j-3)*width+j1]
-			a0s, a1s := acc[:len(x0)], acc1[:len(x0)]
-			switch {
-			case zero0:
-				for c := range x0 {
-					a := a1s[c]
-					a -= v10 * x0[c]
-					a -= v11 * x1[c]
-					a -= v12 * x2[c]
-					a -= v13 * x3[c]
-					a1s[c] = a
-				}
-			case zero1:
-				for c := range x0 {
-					a := a0s[c]
-					a -= v00 * x0[c]
-					a -= v01 * x1[c]
-					a -= v02 * x2[c]
-					a -= v03 * x3[c]
-					a0s[c] = a
-				}
-			default:
-				for c := range x0 {
-					a1 := a1s[c]
-					a1 -= v10 * x0[c]
-					a1 -= v11 * x1[c]
-					a1 -= v12 * x2[c]
-					a1 -= v13 * x3[c]
-					a1s[c] = a1
-					a0 := a0s[c]
-					a0 -= v00 * x0[c]
-					a0 -= v01 * x1[c]
-					a0 -= v02 * x2[c]
-					a0 -= v03 * x3[c]
-					a0s[c] = a0
-				}
+			x0, x1, x2, x3 := x.tileRows4(j, -1, j0, j1)
+			if !zero1 {
+				msub4(acc1, &c1, x0, x1, x2, x3)
+			}
+			if !zero0 {
+				msub4(acc, &c0, x0, x1, x2, x3)
 			}
 		}
 		for ; j > i; j-- {
-			v1, v0 := row1[j], row0[j]
-			if v0 == 0 && v1 == 0 {
-				continue
+			xrow := x.tileRow(j, j0, j1)
+			if v := row1[j]; v != 0 {
+				msub1(acc1, v, xrow)
 			}
-			xrow := x.a[j*width+j0 : j*width+j1]
-			if v1 != 0 {
-				for c, xv := range xrow {
-					acc1[c] -= v1 * xv
-				}
-			}
-			if v0 != 0 {
-				for c, xv := range xrow {
-					acc[c] -= v0 * xv
-				}
+			if v := row0[j]; v != 0 {
+				msub1(acc, v, xrow)
 			}
 		}
-		piv1 := row1[i]
-		for c := range dst1 {
-			dst1[c] = acc1[c] / piv1
-		}
+		divInto(dst1, acc1, row1[i])
 		if v := row0[i]; v != 0 {
-			for c, xv := range dst1 {
-				acc[c] -= v * xv
-			}
+			msub1(acc, v, dst1)
 		}
-		piv0 := row0[i-1]
-		for c := range dst0 {
-			dst0[c] = acc[c] / piv0
-		}
+		divInto(dst0, acc, row0[i-1])
 	}
 	if i == 0 {
 		row := f.lu.a[0:n]
-		dst := x.a[j0:j1]
-		for c, xv := range dst {
-			acc[c] = xv
-		}
+		dst := x.tileRow(0, j0, j1)
+		copy(acc, dst)
 		j := n - 1
 		for ; j-3 > 0; j -= 4 {
-			v0, v1, v2, v3 := row[j], row[j-1], row[j-2], row[j-3]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			x0 := x.a[j*width+j0 : j*width+j1]
-			x1 := x.a[(j-1)*width+j0 : (j-1)*width+j1]
-			x2 := x.a[(j-2)*width+j0 : (j-2)*width+j1]
-			x3 := x.a[(j-3)*width+j0 : (j-3)*width+j1]
-			as := acc[:len(x0)]
-			for c := range x0 {
-				a := as[c]
-				a -= v0 * x0[c]
-				a -= v1 * x1[c]
-				a -= v2 * x2[c]
-				a -= v3 * x3[c]
-				as[c] = a
+			if c := [4]float64{row[j], row[j-1], row[j-2], row[j-3]}; !isZero4(&c) {
+				x0, x1, x2, x3 := x.tileRows4(j, -1, j0, j1)
+				msub4(acc, &c, x0, x1, x2, x3)
 			}
 		}
 		for ; j > 0; j-- {
-			v := row[j]
-			if v == 0 {
-				continue
-			}
-			xrow := x.a[j*width+j0 : j*width+j1]
-			for c, xv := range xrow {
-				acc[c] -= v * xv
+			if v := row[j]; v != 0 {
+				msub1(acc, v, x.tileRow(j, j0, j1))
 			}
 		}
-		piv := row[0]
-		for c := range dst {
-			dst[c] = acc[c] / piv
-		}
+		divInto(dst, acc, row[0])
+	}
+}
+
+// subInPlace sets dst[c] -= s[c].
+func subInPlace(dst, s []float64) {
+	s = s[:len(dst)]
+	for c := range dst {
+		dst[c] -= s[c]
+	}
+}
+
+// divInto sets dst[c] = s[c] / d.
+func divInto(dst, s []float64, d float64) {
+	s = s[:len(dst)]
+	for c := range dst {
+		dst[c] = s[c] / d
 	}
 }
 
@@ -560,22 +383,14 @@ func (f *LU) SolveLeftVecInto(dst, b []float64) []float64 {
 		row := f.lu.a[i*n : (i+1)*n]
 		zi := w[i] / row[i]
 		w[i] = zi
-		if zi == 0 {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			w[j] -= zi * row[j]
+		if zi != 0 {
+			msub1(w[i+1:], zi, row[i+1:])
 		}
 	}
 	// y·L = z with unit lower-triangular L, last row first.
 	for i := n - 1; i > 0; i-- {
-		yi := w[i]
-		if yi == 0 {
-			continue
-		}
-		row := f.lu.a[i*n : i*n+i]
-		for j, v := range row {
-			w[j] -= yi * v
+		if yi := w[i]; yi != 0 {
+			msub1(w[:i], yi, f.lu.a[i*n:i*n+i])
 		}
 	}
 	for i, p := range f.piv {
@@ -716,7 +531,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }

@@ -79,16 +79,10 @@ func (s *Sparse) MulInto(dst, b *Matrix) *Matrix {
 	width := b.cols
 	for i := 0; i < s.rows; i++ {
 		out := dst.a[i*width : (i+1)*width]
-		for k := range out {
-			out[k] = 0
-		}
-		lo, hi := s.rowStart[i], s.rowStart[i+1]
-		for p := lo; p < hi; p++ {
-			v := s.val[p]
-			brow := b.a[s.colIdx[p]*width : (s.colIdx[p]+1)*width]
-			for j, bv := range brow {
-				out[j] += v * bv
-			}
+		clear(out)
+		for p := s.rowStart[i]; p < s.rowStart[i+1]; p++ {
+			k := s.colIdx[p]
+			madd1(out, s.val[p], b.a[k*width:(k+1)*width])
 		}
 	}
 	return dst
@@ -117,7 +111,7 @@ func (s *Sparse) MulRightInto(dst, a *Matrix) *Matrix {
 			}
 			lo, hi := s.rowStart[k], s.rowStart[k+1]
 			for p := lo; p < hi; p++ {
-				out[s.colIdx[p]] += av * s.val[p]
+				out[s.colIdx[p]] += float64(av * s.val[p])
 			}
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"bgperf/internal/mat"
 )
 
 // Process-wide solver counters (see ProcessCounter). Every Diagnostics
@@ -196,6 +198,11 @@ type Report struct {
 
 	// Fits lists MAP-fit diagnostics in completion order.
 	Fits []FitDiag `json:"fits,omitempty"`
+
+	// MatKernels names the row-update kernel set the process ran: "avx2"
+	// or "generic" (see mat.Kernels). Both give bit-identical results; the
+	// field says which timing a report's stage seconds belong to.
+	MatKernels string `json:"matKernels"`
 }
 
 // Report returns a consistent snapshot of everything collected so far.
@@ -215,6 +222,7 @@ func (d *Diagnostics) Report() Report {
 		Sim:                d.sim,
 		ReplicationsDone:   d.repsDone,
 		ReplicationsTotal:  d.repsTotal,
+		MatKernels:         mat.Kernels(),
 	}
 	for s := Stage(0); s < numStages; s++ {
 		if d.stageCount[s] == 0 {
@@ -245,6 +253,7 @@ func (d *Diagnostics) WriteSummary(w io.Writer) error {
 		fmt.Fprintf(w, "R iterations         %12d (total over %d reductions)\n", r.RIterations, r.RSolves)
 		fmt.Fprintf(w, "last reduction       %12d iterations, residual %.3g, sp(R) %.6g\n",
 			r.LastRIterations, r.LastResidual, r.LastSpectralRadius)
+		fmt.Fprintf(w, "mat kernels          %12s\n", r.MatKernels)
 		for _, s := range []Stage{StageBuild, StageRSolve, StageBoundary, StageMetrics} {
 			if sr, ok := r.Stages[s.String()]; ok {
 				fmt.Fprintf(w, "stage %-14s %12.3fms over %d calls\n", s.String(), 1e3*sr.Seconds, sr.Count)

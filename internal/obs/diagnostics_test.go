@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bgperf/internal/mat"
 )
 
 func TestStageStringRoundTrip(t *testing.T) {
@@ -147,7 +149,10 @@ func TestFlushJSONAndSummary(t *testing.T) {
 	if err := d.WriteSummary(&sum); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"solves", "last reduction", "workspace pool", "75.0% reuse"} {
+	if r.MatKernels != mat.Kernels() {
+		t.Errorf("report matKernels %q, want %q", r.MatKernels, mat.Kernels())
+	}
+	for _, want := range []string{"solves", "last reduction", "mat kernels", "workspace pool", "75.0% reuse"} {
 		if !strings.Contains(sum.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, sum.String())
 		}

@@ -51,6 +51,7 @@ func TestReportSchemaGolden(t *testing.T) {
 			TargetRate: 0.0133, TargetSCV: 100, TargetACF1: 0.4, TargetDecay: 0.999,
 			Rate: 0.0133, SCV: 99.8, ACF1: 0.39, Decay: 0.998,
 		}},
+		MatKernels: "avx2",
 	}
 	serve := ServeStats{
 		Requests: 10, CacheHits: 6, CacheMisses: 4, Coalesced: 2,

@@ -65,6 +65,7 @@ import (
 	"bgperf/internal/cas"
 	"bgperf/internal/cluster"
 	"bgperf/internal/core"
+	"bgperf/internal/mat"
 	"bgperf/internal/obs"
 	"bgperf/internal/par"
 	"bgperf/internal/plan"
@@ -162,10 +163,13 @@ type Server struct {
 // family and the serve layer's bgperf.serve.* family) as expvars, so GET
 // /debug/vars serves them under their names. obs keeps them as plain
 // atomics, which keeps expvar and net/http out of binaries that only solve.
+// bgperf.mat_kernels names the row-update kernel set the solves run on
+// ("avx2" or "generic"), so a latency reading can be told apart by it.
 func init() {
 	for _, c := range obs.ProcessCounters() {
 		expvar.Publish(c.Name(), expvar.Func(func() any { return c.Value() }))
 	}
+	expvar.NewString("bgperf.mat_kernels").Set(mat.Kernels())
 }
 
 // New returns a ready-to-mount Server over the given options: it opens

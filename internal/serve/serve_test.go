@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bgperf/internal/core"
+	"bgperf/internal/mat"
 	"bgperf/internal/obs"
 	"bgperf/internal/workload"
 )
@@ -520,5 +521,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		if err := json.Unmarshal(vars[name], &v); err != nil || v < 1 {
 			t.Errorf("debug/vars %s = %s, want >= 1 after a solve and a cache hit", name, vars[name])
 		}
+	}
+	// bgperf.mat_kernels names the kernel set the solves ran on.
+	var kernels string
+	if err := json.Unmarshal(vars["bgperf.mat_kernels"], &kernels); err != nil || kernels != mat.Kernels() {
+		t.Errorf("debug/vars bgperf.mat_kernels = %s, want %q", vars["bgperf.mat_kernels"], mat.Kernels())
 	}
 }
